@@ -137,7 +137,6 @@ object PFDCheck {
       d = d.withColumn(s"__rm_$b", matchCol(tp.rhsCells(b), b))
            .withColumn(s"__rk_$b", keyCol(tp.rhsCells(b), b))
     }
-    d = d.cache()
 
     val isConstant = tp.isConstantRow
     val out = pfd.rhs.map { b =>
@@ -198,7 +197,6 @@ object PFDCheck {
         d = d.withColumn(s"__rm_$b", matchCol(tp.rhsCells(b), b))
              .withColumn(s"__rk_$b", keyCol(tp.rhsCells(b), b))
       }
-      d = d.cache()
       val constantOk =
         if (tp.isConstantRow)
           pfd.rhs.forall(b => d.filter(!col(s"__rm_$b")).isEmpty)

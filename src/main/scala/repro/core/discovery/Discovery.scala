@@ -1,8 +1,9 @@
 package repro.core.discovery
 
-import org.apache.spark.sql.{DataFrame, Column}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.Window
+import org.apache.spark.storage.StorageLevel
 import repro.core._
 
 /** Discovery parameters (§4.2 restrictions (ii)/(iii) and §5.1 defaults). */
@@ -50,17 +51,21 @@ final case class DiscoveryResult(
 /** The PFD discovery algorithm of Fig. 4, on Spark DataFrames.
   *
   * Pipeline per table: profile columns → build the inverted pattern index →
-  * substring-prune and support-filter pattern stats → for each LHS attribute
-  * join its frequent patterns against all other attributes' patterns on tid
-  * and aggregate joint counts → the decision function f accepts (p_A → p_B)
-  * when |tids(p_A)| ≥ K and the best co-occurring RHS pattern covers
-  * ≥ (1−δ)·|tids(p_A)| of them → greedy tableau selection (drop extensions of
-  * already-selected patterns, keep the modal position — the single-semantics
-  * optimization of §4.4) → report the dependency when the tableau covers ≥ γ
-  * of the records → try to generalize the constant tableau to a variable PFD.
-  * Level-2 of the attribute lattice conditions on frequent values of the
-  * partner attribute (Example 8) after pruning pairs whose children already
-  * produced a dependency.
+  * substring-prune and support-filter pattern stats → join the frequent
+  * patterns of every attribute against all other attributes' patterns on
+  * tid and aggregate joint counts → the decision function f accepts
+  * (p_A → p_B) when |tids(p_A)| ≥ K and the best co-occurring RHS pattern
+  * covers ≥ (1−δ)·|tids(p_A)| of them → greedy tableau selection (drop
+  * extensions of already-selected patterns, keep the modal position — the
+  * single-semantics optimization of §4.4) → report the dependency when the
+  * tableau covers ≥ γ of the records → try to generalize the constant
+  * tableau to a variable PFD. Level-2 of the attribute lattice conditions on
+  * frequent values of the partner attribute (Example 8) after pruning pairs
+  * whose children already produced a dependency.
+  *
+  * Each lattice level is one mining query ([[mine]]); level 2's sub-tables
+  * are key columns (cond, value), so the number of Spark jobs does not grow
+  * with attributes or slices.
   */
 object Discovery {
 
@@ -74,137 +79,133 @@ object Discovery {
 
   def discover(df0: DataFrame, params: Params = Params()): DiscoveryResult = {
     val t0 = System.nanoTime()
-    val df = PFDCheck.withTid(df0).cache()
-    val n = df.count()
-    val profiles = Profiler.profile(df)
-    val (single, trivial) = discoverLevel1(df, n, profiles, params)
-    val multi =
-      if (params.maxLhs >= 2) discoverLevel2(df, n, profiles, params, single, trivial)
-      else Seq.empty
-    df.unpersist()
-    DiscoveryResult(single ++ multi, profiles, (System.nanoTime() - t0) / 1000000L)
+    // Tids must be data: a fresh monotonically_increasing_id can take other
+    // values in another plan of the same frame (one cached elsewhere, say),
+    // and both levels join frames derived from `df` on tid.
+    val input =
+      if (df0.columns.contains(PFDCheck.TidCol)) df0
+      else { val d = PFDCheck.withTid(df0); d.sparkSession.createDataFrame(d.rdd, d.schema) }
+    val (deps, profiles) = withCache(input) { df =>
+      val n = df.count()
+      val profiles = Profiler.profile(df)
+      val quals = profiles.filter(_.isQualitative)
+      if (quals.size < 2) (Seq.empty, profiles)
+      else {
+        // the level-1 pattern rows, annotated once and shared by both levels
+        val rows = PatternIndex.patternRows(PatternIndex.build(df, quals), Nil,
+                                            params.maxPatternsPerAttr)
+          .withColumn("triv", col("kept") && col("cnt") >= params.maxRhsCover * n)
+        val tokenized = profiles.map(p => p.name -> p.useTokenize).toMap
+        val deps = withCache(rows) { r =>
+          val single = discoverLevel1(df, n, r, tokenized, params)
+          if (params.maxLhs < 2) single
+          else single ++ discoverLevel2(df, n, quals, r, tokenized, params, single)
+        }
+        (deps, profiles)
+      }
+    }
+    DiscoveryResult(deps, profiles, (System.nanoTime() - t0) / 1000000L)
+  }
+
+  /** Run `f` on `df` cached. A frame the caller already cached stays the
+    * caller's; one cached here is released before returning.
+    */
+  private def withCache[T](df: DataFrame)(f: DataFrame => T): T =
+    if (df.storageLevel != StorageLevel.NONE) f(df)
+    else {
+      val cached = df.cache()
+      try f(cached) finally cached.unpersist(blocking = true)
+    }
+
+  // ------------------------------------------------------------------
+  // The mining kernel, shared by both lattice levels.
+  // ------------------------------------------------------------------
+
+  /** Decision f over [[PatternIndex.patternRows]] keyed by `slice` columns,
+    * returning every accepted entry with its slice values. Only kept patterns
+    * not flagged `triv` (trivially covering the whole table) are mined: they
+    * must leave the RHS side *before* best-RHS ranking, or e.g. a constant
+    * "univ" email token would shadow the informative department token.
+    */
+  private def mine(rows: DataFrame, slice: Seq[String],
+                   params: Params): Seq[(Seq[String], Entry)] = {
+    val minRhsCnt = math.max(1L, math.floor((1 - params.noise) * params.minSupport).toLong)
+    val sliceCols = slice.map(col)
+    val mined = rows.filter(col("kept") && !col("triv"))
+    val lhs = mined.filter(col("cnt") >= params.minSupport)
+      .select(sliceCols ++ Seq(col("tid"), col("attr") as "attrA", col("token") as "tokA",
+              col("pos") as "posA", col("cnt") as "cntA", col("isFull") as "fullA"): _*)
+    val rhs = mined.filter(col("cnt") >= minRhsCnt)
+      .select(sliceCols ++ Seq(col("tid"), col("attr") as "attrB", col("token") as "tokB",
+              col("pos") as "posB", col("full") as "fullB0"): _*)
+    val lhsKey = sliceCols ++ Seq(col("attrA"), col("tokA"), col("posA"))
+    val joint = lhs.join(rhs, slice :+ "tid")
+      .filter(col("attrA") =!= col("attrB"))
+      .repartition(lhsKey :+ col("attrB"): _*)
+      .groupBy(lhsKey ++ Seq(col("cntA"), col("fullA"), col("attrB"), col("tokB"), col("posB")): _*)
+      .agg(count(lit(1)) as "cj", (min(when(col("fullB0"), 1).otherwise(0)) === 1) as "fullB")
+      .filter(col("cj") >= ceil(col("cntA") * (1 - params.noise)))
+    // best RHS pattern per LHS pattern: most specific first (substring
+    // pruning guarantees a longer pattern is never dominated spuriously),
+    // then most frequent.
+    val w = Window.partitionBy(lhsKey :+ col("attrB"): _*)
+      .orderBy(length(col("tokB")).desc, col("cj").desc, col("tokB").asc, col("posB").asc)
+    joint.withColumn("__r", row_number().over(w)).filter(col("__r") === 1)
+      .select(sliceCols ++ Seq(col("attrA"), col("tokA"), col("posA"), col("cntA"), col("attrB"),
+              col("tokB"), col("posB"), col("cj"), col("fullA"), col("fullB")): _*)
+      .collect().toSeq
+      .map { r =>
+        val k = slice.size // the entry's columns follow the slice's
+        (slice.indices.map(r.getString),
+         Entry(r.getString(k), r.getString(k + 1), r.getInt(k + 2), r.getLong(k + 3),
+               r.getString(k + 4), r.getString(k + 5), r.getInt(k + 6), r.getLong(k + 7),
+               r.getBoolean(k + 8), r.getBoolean(k + 9)))
+      }
   }
 
   // ------------------------------------------------------------------
   // Level 1: single-LHS candidate dependencies A → B.
   // ------------------------------------------------------------------
 
-  private[discovery] def discoverLevel1(df: DataFrame, n: Long,
-                                        profiles: Seq[ColumnProfile],
-                                        params: Params): (Seq[DiscoveredDep], Set[(String, String, Int)]) = {
-    val (entries, trivial) = mineEntries(df, profiles, params, n, trivialOverride = None)
-    val byPair = entries.groupBy(e => (e.attrA, e.attrB))
-    val tokenized = profiles.map(p => p.name -> p.useTokenize).toMap
-    val deps = byPair.toSeq.sortBy(_._1).flatMap { case ((a, b), es) =>
-      buildDep(df, Seq(a), b, es, n, n, tokenized, params, conditioning = Map.empty)
+  private def discoverLevel1(df: DataFrame, n: Long, rows: DataFrame,
+                             tokenized: Map[String, Boolean],
+                             params: Params): Seq[DiscoveredDep] = {
+    val entries = mine(rows, Nil, params).map(_._2)
+    entries.groupBy(e => (e.attrA, e.attrB)).toSeq.sortBy(_._1).flatMap { case ((a, b), es) =>
+      val selected = selectTableau(es, tokenized(a)).map(e => (Map.empty[String, Cell], e))
+      report(Seq(a), b, selected, n, tokenized, params)(
+        Generalizer.generalize(df, a, b, _, tokenized, params))
     }
-    (deps, trivial)
-  }
-
-  /** Run the index/join/decide pipeline. Returns the accepted tableau
-    * entries and the set of *trivially-covering* patterns of this table —
-    * patterns present in ≥ `maxRhsCover` of the rows (constant id prefixes
-    * and the like), which are rejected as RHS evidence. Level 2 passes the
-    * full-table trivial set via `trivialOverride` so that conditioning on a
-    * slice does not turn a globally-varied column into a "constant" one.
-    */
-  private[discovery] def mineEntries(df: DataFrame, profiles: Seq[ColumnProfile],
-                                     params: Params, nRows: Long,
-                                     trivialOverride: Option[Set[(String, String, Int)]])
-      : (Seq[Entry], Set[(String, String, Int)]) = {
-    val quals = profiles.filter(_.isQualitative)
-    if (quals.size < 2) return (Seq.empty, Set.empty)
-    val index = PatternIndex.build(df, quals).cache()
-    val stats = PatternIndex.prunedStats(index, params.maxPatternsPerAttr).cache()
-    val trivial = trivialOverride.getOrElse {
-      stats.filter(col("cnt") >= params.maxRhsCover * nRows)
-        .select("attr", "token", "pos").collect()
-        .map(r => (r.getString(0), r.getString(1), r.getInt(2))).toSet
-    }
-    val minRhsCnt = math.max(1L, math.floor((1 - params.noise) * params.minSupport).toLong)
-    val spark = df.sparkSession
-    import spark.implicits._
-    // trivially-covering patterns must be excluded from the RHS side *before*
-    // best-RHS ranking, or e.g. a constant "univ" email token would shadow
-    // the informative department token.
-    val trivialDf = trivial.toSeq.toDF("attr", "token", "pos")
-    val fidx = index.join(
-      stats.filter(col("cnt") >= minRhsCnt).select("attr", "token", "pos"),
-      Seq("attr", "token", "pos"))
-      .join(trivialDf, Seq("attr", "token", "pos"), "left_anti")
-      .cache()
-
-    val out = quals.flatMap { pa =>
-      val a = pa.name
-      val lhsSide = fidx.filter(col("attr") === a)
-        .join(stats.filter(col("attr") === a && col("cnt") >= params.minSupport)
-                .select(col("attr"), col("token"), col("pos"),
-                        col("cnt") as "cntA", col("isFull") as "fullA"),
-              Seq("attr", "token", "pos"))
-        .select(col("tid"), col("token") as "tokA", col("pos") as "posA",
-                col("cntA"), col("fullA"))
-      val rhsSide = fidx.filter(col("attr") =!= a)
-        .select(col("tid"), col("attr") as "attrB", col("token") as "tokB",
-                col("pos") as "posB", col("full") as "fullB0")
-      val joint = lhsSide.join(rhsSide, "tid")
-        .groupBy("tokA", "posA", "cntA", "fullA", "attrB", "tokB", "posB")
-        .agg(count(lit(1)) as "cj", (min(when(col("fullB0"), 1).otherwise(0)) === 1) as "fullB")
-        .filter(col("cj") >= ceil(col("cntA") * (1 - params.noise)))
-      // best RHS pattern per LHS pattern: most specific first (substring
-      // pruning guarantees a longer pattern is never dominated spuriously),
-      // then most frequent.
-      val w = Window.partitionBy("tokA", "posA", "attrB")
-        .orderBy(length(col("tokB")).desc, col("cj").desc, col("tokB").asc, col("posB").asc)
-      joint.withColumn("__r", row_number().over(w)).filter(col("__r") === 1)
-        .select(lit(a) as "attrA", col("tokA"), col("posA"), col("cntA"),
-                col("attrB"), col("tokB"), col("posB"), col("cj"),
-                col("fullA"), col("fullB"))
-        .collect()
-        .map(r => Entry(r.getString(0), r.getString(1), r.getInt(2), r.getLong(3),
-                        r.getString(4), r.getString(5), r.getInt(6), r.getLong(7),
-                        r.getBoolean(8), r.getBoolean(9)))
-        .toSeq
-    }
-    fidx.unpersist(); stats.unpersist(); index.unpersist()
-    (out.filterNot(e => trivial.contains((e.attrB, e.tokB, e.posB))), trivial)
   }
 
   // ------------------------------------------------------------------
   // Tableau selection + PFD construction for one candidate dependency.
   // ------------------------------------------------------------------
 
-  /** Greedy tableau selection and dependency reporting. `total` is the
-    * coverage denominator (whole table); `subTotal` the size of the slice
-    * the entries were mined on (equal to `total` at level 1).
-    * `conditioning` carries constant LHS cells of already-fixed attributes
-    * (multi-LHS).
+  /** Dependency reporting from a selected tableau: each entry comes with
+    * the constant LHS cells of already-fixed attributes (multi-LHS). The
+    * dependency is reported when the tableau covers ≥ γ of the `total`
+    * records; `generalize` may turn the constant tableau into a variable PFD.
     */
-  private def buildDep(df: DataFrame, lhsAttrs: Seq[String], b: String,
-                       es: Seq[Entry], total: Long, subTotal: Long,
-                       tokenized: Map[String, Boolean], params: Params,
-                       conditioning: Map[String, Cell]): Option[DiscoveredDep] = {
+  private def report(lhsAttrs: Seq[String], b: String, selected: Seq[(Map[String, Cell], Entry)],
+                     total: Long, tokenized: Map[String, Boolean], params: Params)
+                    (generalize: Seq[Entry] => Option[PFD]): Option[DiscoveredDep] = {
     val a = lhsAttrs.last // the pattern-bearing attribute
-    val selected = selectTableau(es, tokenized(a))
     if (selected.isEmpty) return None
-    val coverage = selected.map(_.cntA).sum.toDouble / total
+    val coverage = selected.map(_._2.cntA).sum.toDouble / total
     if (coverage < params.minCoverage) return None
 
-    val rows = selected.map { e =>
+    val rows = selected.map { case (conditioning, e) =>
       PTuple(
         conditioning + (a -> cellFor(tokenized(a), e.tokA, e.posA, e.fullA)),
         Map(b -> cellFor(tokenized(b), e.tokB, e.posB, e.fullB)))
     }
-    val constantPfd = PFD(lhsAttrs, Seq(b), rows)
-    val generalized =
-      if (params.generalize && conditioning.isEmpty)
-        Generalizer.generalize(df, a, b, selected, tokenized, params)
-      else None
-    generalized match {
-      case Some(g) =>
-        Some(DiscoveredDep(lhsAttrs, b, g, isVariable = true, coverage, rows.size))
-      case None =>
-        Some(DiscoveredDep(lhsAttrs, b, constantPfd, isVariable = false, coverage, rows.size))
-    }
+    val generalized = if (params.generalize) generalize(selected.map(_._2)) else None
+    Some(generalized match {
+      case Some(g) => DiscoveredDep(lhsAttrs, b, g, isVariable = true, coverage, rows.size)
+      case None    => DiscoveredDep(lhsAttrs, b, PFD(lhsAttrs, Seq(b), rows),
+                                    isVariable = false, coverage, rows.size)
+    })
   }
 
   /** Greedy dedup (skip patterns that extend an already-selected one — their
@@ -273,89 +274,93 @@ object Discovery {
   // Level 2 of the attribute-set lattice: {A, C} → B (Example 8).
   // ------------------------------------------------------------------
 
-  private[discovery] def discoverLevel2(df: DataFrame, n: Long,
-                                        profiles: Seq[ColumnProfile], params: Params,
-                                        found: Seq[DiscoveredDep],
-                                        trivial: Set[(String, String, Int)]): Seq[DiscoveredDep] = {
-    val quals = profiles.filter(_.isQualitative)
-    val tokenized = profiles.map(p => p.name -> p.useTokenize).toMap
+  private def discoverLevel2(df: DataFrame, n: Long, quals: Seq[ColumnProfile], rows: DataFrame,
+                             tokenized: Map[String, Boolean], params: Params,
+                             found: Seq[DiscoveredDep]): Seq[DiscoveredDep] = {
     val foundPairs = found.map(d => (d.lhs.toSet, d.rhs)).toSet
     val attrs = quals.map(_.name)
 
-    // Mine each conditioning slice ONCE and reuse its entries for every
-    // candidate {cond, pat} -> b (the sub-table index dominates the cost).
-    // The conditioning attribute is the one whose top values are most
-    // frequent (Example 8 starts from 'country'); a candidate triple
-    // (cond, pat, b) is kept only when the lattice's children produced
-    // nothing (restriction iv) and pat has fewer frequent top values than
-    // cond would grant it as conditioner.
-    val topByAttr: Map[String, Seq[(String, Long)]] =
-      attrs.map(a => a -> topValues(df, a, params)).toMap
-
-    attrs.flatMap { cond =>
+    // Every conditioning slice is mined once, in one query, and its entries
+    // are reused for every candidate {cond, pat} -> b. The conditioning
+    // attribute is the one whose top values are most frequent (Example 8
+    // starts from 'country'); a candidate triple (cond, pat, b) is kept only
+    // when the lattice's children produced nothing (restriction iv) and pat
+    // has fewer frequent top values than cond would grant it as conditioner.
+    val topByAttr = topValues(df, attrs, params)
+    def top(a: String): Long = topByAttr(a).headOption.map(_._2).getOrElse(0L)
+    val plans = attrs.flatMap { cond =>
       val condVals = topByAttr(cond)
-      val condTop = condVals.headOption.map(_._2).getOrElse(0L)
-      def patTop(a: String): Long = topByAttr(a).headOption.map(_._2).getOrElse(0L)
       val cands = for {
         pat <- attrs; b <- attrs
         if pat != cond && b != cond && b != pat
         if !foundPairs.contains((Set(pat), b)) && !foundPairs.contains((Set(cond), b))
         // each unordered pair is expanded from its better conditioner only
-        if patTop(pat) < condTop || (patTop(pat) == condTop && cond < pat)
+        if top(pat) < top(cond) || (top(pat) == top(cond) && cond < pat)
       } yield (pat, b)
       // coverage pruning (§4.2 restriction iv): a level-2 tableau only
       // covers rows inside the conditioning slices, so a conditioner whose
       // frequent values cover less than γ can never yield a dependency.
       val condCoverage = condVals.map(_._2).sum.toDouble / n
-      if (condVals.isEmpty || cands.isEmpty || condCoverage < params.minCoverage) Seq.empty
-      else {
-        val needed = cands.flatMap(c => Seq(c._1, c._2)).toSet
-        val others = quals.filter(p => needed.contains(p.name))
-        val entriesByVal: Seq[(String, Long, Seq[Entry])] = condVals.map { case (v, cnt) =>
-          val sub = df.filter(col(cond).cast("string") === v)
-          (v, cnt, mineEntries(sub, others, params, cnt, Some(trivial))._1)
+      if (condVals.isEmpty || cands.isEmpty || condCoverage < params.minCoverage) None
+      else Some((cond, condVals.map(_._1), cands))
+    }
+    if (plans.isEmpty) return Seq.empty
+
+    // (tid, cond, value) for every conditioning slice, from one generator: a
+    // `cond` literal the optimizer could fold would drop out of some
+    // partitionings and add exchanges. `needed`: the attributes each
+    // conditioner's candidates use.
+    val slices = df
+      .select(col(PFDCheck.TidCol) as "tid", explode(array(plans.map { case (cond, vals, _) =>
+        val v = col(cond).cast("string")
+        when(v.isin(vals: _*), struct(lit(cond) as "cond", v as "value"))
+      }: _*)) as "s")
+      .filter(col("s").isNotNull)
+      .select("tid", "s.cond", "s.value")
+    val needed = plans.map { case (cond, _, cands) =>
+      col("cond") === cond && col("attr").isin(cands.flatMap(c => Seq(c._1, c._2)).distinct: _*)
+    }.reduce(_ || _)
+    // a slice never turns a globally-varied column into a "constant" one:
+    // the trivially-covering set stays the whole table's
+    val sliceRows = rows.select("tid", "attr", "token", "pos", "full", "triv")
+      .join(slices, "tid").filter(needed)
+    val entries = mine(
+      PatternIndex.patternRows(sliceRows, Seq("cond", "value"), params.maxPatternsPerAttr),
+      Seq("cond", "value"), params).groupMap(_._1)(_._2)
+
+    plans.flatMap { case (cond, vals, cands) =>
+      cands.flatMap { case (pat, b) =>
+        val selected = vals.flatMap { v =>
+          val es = entries.getOrElse(Seq(cond, v), Seq.empty)
+          selectTableau(es.filter(e => e.attrA == pat && e.attrB == b), tokenized(pat))
+            .map(e => (Map[String, Cell](cond -> Cell(ConstrainedPattern.wholeLiteral(v))), e))
         }
-        cands.flatMap { case (pat, b) =>
-          val rows = entriesByVal.flatMap { case (v, _, es) =>
-            selectTableau(es.filter(e => e.attrA == pat && e.attrB == b), tokenized(pat))
-              .map(e => (v, e))
-          }
-          if (rows.isEmpty) None
-          else {
-            val coverage = rows.map(_._2.cntA).sum.toDouble / n
-            if (coverage < params.minCoverage) None
-            else {
-              val tableau = rows.map { case (v, e) =>
-                PTuple(
-                  Map(cond -> Cell(ConstrainedPattern.wholeLiteral(v)),
-                      pat -> cellFor(tokenized(pat), e.tokA, e.posA, e.fullA)),
-                  Map(b -> cellFor(tokenized(b), e.tokB, e.posB, e.fullB)))
-              }
-              val lhs = Seq(cond, pat)
-              val generalized =
-                if (params.generalize)
-                  Generalizer.generalizeMulti(df, cond, pat, b, rows.map(_._2),
-                                              tokenized, params)
-                else None
-              generalized match {
-                case Some(g) => Some(DiscoveredDep(lhs, b, g, isVariable = true, coverage, tableau.size))
-                case None    => Some(DiscoveredDep(lhs, b, PFD(lhs, Seq(b), tableau),
-                                                   isVariable = false, coverage, tableau.size))
-              }
-            }
-          }
-        }
+        report(Seq(cond, pat), b, selected, n, tokenized, params)(
+          Generalizer.generalizeMulti(df, cond, pat, b, _, tokenized, params))
       }
     }
   }
 
-  private def topValues(df: DataFrame, attr: String, params: Params): Seq[(String, Long)] =
-    df.filter(col(attr).isNotNull)
-      .groupBy(col(attr).cast("string") as "v").count()
+  /** The most frequent values (count ≥ K, at most `maxConditionValues`) of
+    * every attribute, most frequent first, from one query.
+    */
+  private def topValues(df: DataFrame, attrs: Seq[String],
+                        params: Params): Map[String, Seq[(String, Long)]] = {
+    val byAttr = Window.partitionBy("attr").orderBy(col("count").desc, col("v").asc)
+    val top = df
+      .select(explode(array(attrs.map(a =>
+        struct(lit(a) as "attr", col(a).cast("string") as "v")): _*)) as "x")
+      .select("x.attr", "x.v")
+      .filter(col("v").isNotNull)
+      .repartition(col("attr"))
+      .groupBy("attr", "v").count()
       .filter(col("count") >= params.minSupport)
-      .orderBy(col("count").desc, col("v").asc)
-      .limit(params.maxConditionValues)
-      .collect().map(r => (r.getString(0), r.getLong(1))).toSeq
+      .withColumn("__r", row_number().over(byAttr))
+      .filter(col("__r") <= params.maxConditionValues)
+      .collect()
+      .map(r => (r.getString(0), r.getInt(3), (r.getString(1), r.getLong(2))))
+    attrs.map(a => a -> top.filter(_._1 == a).sortBy(_._2).map(_._3).toSeq).toMap
+  }
 
   // ------------------------------------------------------------------
   // Shared variable-PFD validation (used by the Generalizer).

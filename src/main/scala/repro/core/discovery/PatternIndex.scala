@@ -1,6 +1,7 @@
 package repro.core.discovery
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.StringType
 import repro.core.PFDCheck
@@ -8,7 +9,7 @@ import repro.core.PFDCheck
 /** The hash-based inverted list of §4.3 (lines 5–12), as a DataFrame:
   * one row per (tid, attr, token, pos) with `pos` a token index (tokenized
   * columns, full value added as pos = -1) or a character offset (n-gram
-  * columns). `prunedStats` applies the substring-pruning optimization of
+  * columns). `patternRows` applies the substring-pruning optimization of
   * §4.4: among patterns of one attribute appearing in exactly the same set
   * of tuples, only the most specific (longest) survives — 'Egypt' is kept
   * over 'Egy' in Example 8.
@@ -40,15 +41,8 @@ object PatternIndex {
               .map(t => (t.token, t.pos, t.pos == 0 && t.atEnd)) :+ ((s, FullValuePos, true))
           }
         else
-          // Prefix n-grams only: every pattern the paper mines or lists
-          // (Table 3) anchors at offset 0 — `850\D{7}`, `6060\D` — while
-          // mid-string offsets mostly surface positional coincidences
-          // ("an" at offset 3 of both Atlanta and Savannah). Prefix-only
-          // also bounds C2 linearly instead of quadratically.
           udf { (s: String) =>
-            if (s == null) Seq.empty[(String, Int, Boolean)]
-            else Tokenizer.ngrams(s).filter(t => informative(t.token) && t.pos == 0)
-              .map(t => (t.token, t.pos, t.pos == 0 && t.atEnd)).distinct
+            Tokenizer.ngrams(s).filter(t => informative(t.token)).map(t => (t.token, t.pos, t.atEnd))
           }
       df.select(
           col(PFDCheck.TidCol) as "tid",
@@ -59,32 +53,42 @@ object PatternIndex {
     parts.reduce(_ unionByName _)
   }
 
-  /** Per-pattern statistics after substring pruning.
-    *
-    * Output columns: attr, token, pos, cnt. The tid-set signature used for
-    * pruning is (count, sum(tid), sum(hash(tid))) — identical signatures are
-    * taken as identical tid sets (a 32-bit murmur collision on top of equal
-    * counts and tid sums is negligible and at worst drops one pattern).
+  /** Index rows with their pattern's statistics within its (slice…, attr):
+    * `cnt` (tuples), `isFull` (the whole value on every occurrence) and
+    * `kept` (survives substring pruning and is among the `maxPatternsPerAttr`
+    * most frequent survivors), all by windows over one repartition by
+    * (slice…, attr). The tid-set signature used for pruning is (cnt,
+    * sum(tid), sum(hash(tid))) — identical signatures are taken as identical
+    * tid sets (a 32-bit murmur collision on top of equal counts and tid sums
+    * is negligible and at worst drops one pattern). Ties are broken on
+    * (token, pos), never on row order, so partitioning does not matter.
     */
-  def prunedStats(index: DataFrame, maxPatternsPerAttr: Int = 5000): DataFrame = {
-    import org.apache.spark.sql.expressions.Window
-    val stats = index
-      .groupBy("attr", "token", "pos")
-      .agg(
-        count(lit(1)) as "cnt",
-        sum("tid") as "sigSum",
-        sum(hash(col("tid")).cast("long")) as "sigHash",
-        // a pattern "is the full value" only if it is on every occurrence
-        (min(when(col("full"), 1).otherwise(0)) === 1) as "isFull")
-    val bySig = Window.partitionBy("attr", "cnt", "sigSum", "sigHash")
+  def patternRows(index: DataFrame, slice: Seq[String], maxPatternsPerAttr: Int): DataFrame = {
+    val key = (slice :+ "attr").map(col)
+    val pattern = Window.partitionBy(key :+ col("token") :+ col("pos"): _*)
+    val bySig = Window.partitionBy(key ++ Seq(col("cnt"), col("sigSum"), col("sigHash")): _*)
       .orderBy(length(col("token")).desc, col("pos").asc, col("token").asc)
-    val byCnt = Window.partitionBy("attr")
-      .orderBy(col("cnt").desc, length(col("token")).desc, col("token").asc, col("pos").asc)
-    stats
-      .withColumn("__r", row_number().over(bySig))
-      .filter(col("__r") === 1)
-      .withColumn("__r2", row_number().over(byCnt))
-      .filter(col("__r2") <= maxPatternsPerAttr)
-      .select("attr", "token", "pos", "cnt", "isFull")
+    // substring-pruned patterns rank after every survivor
+    val byCnt = Window.partitionBy(key: _*)
+      .orderBy((col("__sig") > 1).asc, col("cnt").desc, length(col("token")).desc,
+               col("token").asc, col("pos").asc)
+    index.repartition(key: _*)
+      .withColumn("cnt", count(lit(1)).over(pattern))
+      .withColumn("sigSum", sum("tid").over(pattern))
+      .withColumn("sigHash", sum(hash(col("tid")).cast("long")).over(pattern))
+      .withColumn("isFull", min(when(col("full"), 1).otherwise(0)).over(pattern) === 1)
+      .withColumn("__sig", dense_rank().over(bySig))
+      .withColumn("kept", col("__sig") === 1 && dense_rank().over(byCnt) <= maxPatternsPerAttr)
+      .drop("sigSum", "sigHash", "__sig")
   }
+
+  /** Per-pattern statistics after substring pruning: one row per kept
+    * pattern of [[patternRows]], with columns attr, token, pos, cnt, isFull.
+    */
+  def prunedStats(index: DataFrame, maxPatternsPerAttr: Int = 5000): DataFrame =
+    patternRows(index, Nil, maxPatternsPerAttr)
+      .filter(col("kept"))
+      .withColumn("__r", row_number().over(Window.partitionBy("attr", "token", "pos").orderBy("tid")))
+      .filter(col("__r") === 1)
+      .select("attr", "token", "pos", "cnt", "isFull")
 }

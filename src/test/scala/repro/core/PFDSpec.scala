@@ -50,6 +50,14 @@ class PFDSpec extends SparkSpec {
     PTuple(Map("zip" -> Cell(ConstrainedPattern(Pattern.Empty, p("\\D{3}"), p("\\D{2}")))),
            Map("city" -> Wildcard))))
 
+  test("satisfies and violations leave nothing cached") {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.size
+    assert(!PFDCheck.satisfies(d1, psi1) && PFDCheck.satisfies(d1clean, psi2))
+    assert(PFDCheck.violations(d1, psi1).collect().length == 1)
+    assert(PFDCheck.violations(d1, psi2).collect().isEmpty)
+    assert(sc.getPersistentRDDs.size == before)
+  }
   test("Example 6: r4 violates ψ1 (single-tuple semantics)") {
     assert(!PFDCheck.satisfies(d1, psi1))
   }

@@ -1,5 +1,6 @@
 package repro.core.discovery
 
+import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
 import repro.core._
 
@@ -60,6 +61,32 @@ class DiscoverySpec extends SparkSpec {
     assert(asTriples == Set(
       ("Tayseer", "Egypt", "F"), ("Noor", "Egypt", "M"),
       ("Tayseer", "Yemen", "M"), ("Noor", "Yemen", "F")))
+  }
+
+  test("discover keeps a caller-cached input cached and releases its own frames") {
+    val sc = spark.sparkContext
+    val df = PFDCheck.withTid(table6).cache()
+    df.count()
+    val before = sc.getPersistentRDDs.size
+    assert(Discovery.discover(df, ex8params).deps.nonEmpty)
+    assert(df.storageLevel != StorageLevel.NONE)
+    assert(sc.getPersistentRDDs.size == before)
+    df.unpersist(blocking = true)
+    // an uncached input is cached for the call only
+    val uncached = sc.getPersistentRDDs.size
+    Discovery.discover(table6, ex8params)
+    assert(sc.getPersistentRDDs.size == uncached)
+  }
+
+  test("an equal index cached by another caller does not change discovery") {
+    // tids from monotonically_increasing_id differ between the cached and
+    // the uncached plan of the same frame
+    val t6 = DiscoveryGolden.table6(spark)
+    val index = PatternIndex.build(t6, Profiler.profile(PFDCheck.withTid(t6))).cache()
+    index.count()
+    val input = DiscoveryGolden.table6(spark).cache()
+    try assert(Discovery.discover(input, ex8params).deps.map(_.render) == ex8.deps.map(_.render))
+    finally { index.unpersist(blocking = true); input.unpersist(blocking = true) }
   }
 
   // ------------------------------------------------------------------
