@@ -61,11 +61,9 @@ final case class DiscoveryResult(
   * tableau covers ≥ γ of the records → try to generalize the constant
   * tableau to a variable PFD. Level-2 of the attribute lattice conditions on
   * frequent values of the partner attribute (Example 8) after pruning pairs
-  * whose children already produced a dependency.
-  *
-  * Each lattice level is one mining query ([[mine]]); level 2's sub-tables
-  * are key columns (cond, value), so the number of Spark jobs does not grow
-  * with attributes or slices.
+  * whose children already produced a dependency. Each lattice level is one
+  * mining query ([[mine]]); level 2's sub-tables are key columns (cond,
+  * value), so the number of Spark jobs grows with neither attributes nor slices.
   */
 object Discovery {
 
@@ -79,9 +77,8 @@ object Discovery {
 
   def discover(df0: DataFrame, params: Params = Params()): DiscoveryResult = {
     val t0 = System.nanoTime()
-    // Tids must be data: a fresh monotonically_increasing_id can take other
-    // values in another plan of the same frame (one cached elsewhere, say),
-    // and both levels join frames derived from `df` on tid.
+    // Tids must be data: a fresh monotonically_increasing_id can differ between
+    // two plans of one frame (an equal plan cached elsewhere), and we join on tid.
     val input =
       if (df0.columns.contains(PFDCheck.TidCol)) df0
       else { val d = PFDCheck.withTid(df0); d.sparkSession.createDataFrame(d.rdd, d.schema) }
@@ -99,17 +96,16 @@ object Discovery {
         val deps = withCache(rows) { r =>
           val single = discoverLevel1(df, n, r, tokenized, params)
           if (params.maxLhs < 2) single
-          else single ++ discoverLevel2(df, n, quals, r, tokenized, params, single)
-        }
+          else single ++ discoverLevel2(df, n, quals, r, tokenized, params,
+                                        single.map(d => (d.lhs.toSet, d.rhs)).toSet)
+        }.map(_.dep)
         (deps, profiles)
       }
     }
     DiscoveryResult(deps, profiles, (System.nanoTime() - t0) / 1000000L)
   }
 
-  /** Run `f` on `df` cached. A frame the caller already cached stays the
-    * caller's; one cached here is released before returning.
-    */
+  /** Run `f` on `df` cached; a frame not cached by the caller is released after. */
   private def withCache[T](df: DataFrame)(f: DataFrame => T): T =
     if (df.storageLevel != StorageLevel.NONE) f(df)
     else {
@@ -169,7 +165,7 @@ object Discovery {
 
   private def discoverLevel1(df: DataFrame, n: Long, rows: DataFrame,
                              tokenized: Map[String, Boolean],
-                             params: Params): Seq[DiscoveredDep] = {
+                             params: Params): Seq[Reported] = {
     val entries = mine(rows, Nil, params).map(_._2)
     entries.groupBy(e => (e.attrA, e.attrB)).toSeq.sortBy(_._1).flatMap { case ((a, b), es) =>
       val selected = selectTableau(es, tokenized(a)).map(e => (Map.empty[String, Cell], e))
@@ -182,6 +178,13 @@ object Discovery {
   // Tableau selection + PFD construction for one candidate dependency.
   // ------------------------------------------------------------------
 
+  /** A reported dependency lhs → rhs; `dep` runs its generalization, after
+    * both levels are mined: its scans share generated code with error
+    * detection, which then still finds that code in Spark's small cache. */
+  private final class Reported(val lhs: Seq[String], val rhs: String, build: => DiscoveredDep) {
+    lazy val dep: DiscoveredDep = build
+  }
+
   /** Dependency reporting from a selected tableau: each entry comes with
     * the constant LHS cells of already-fixed attributes (multi-LHS). The
     * dependency is reported when the tableau covers ≥ γ of the `total`
@@ -189,7 +192,7 @@ object Discovery {
     */
   private def report(lhsAttrs: Seq[String], b: String, selected: Seq[(Map[String, Cell], Entry)],
                      total: Long, tokenized: Map[String, Boolean], params: Params)
-                    (generalize: Seq[Entry] => Option[PFD]): Option[DiscoveredDep] = {
+                    (generalize: Seq[Entry] => Option[PFD]): Option[Reported] = {
     val a = lhsAttrs.last // the pattern-bearing attribute
     if (selected.isEmpty) return None
     val coverage = selected.map(_._2.cntA).sum.toDouble / total
@@ -200,12 +203,11 @@ object Discovery {
         conditioning + (a -> cellFor(tokenized(a), e.tokA, e.posA, e.fullA)),
         Map(b -> cellFor(tokenized(b), e.tokB, e.posB, e.fullB)))
     }
-    val generalized = if (params.generalize) generalize(selected.map(_._2)) else None
-    Some(generalized match {
-      case Some(g) => DiscoveredDep(lhsAttrs, b, g, isVariable = true, coverage, rows.size)
-      case None    => DiscoveredDep(lhsAttrs, b, PFD(lhsAttrs, Seq(b), rows),
-                                    isVariable = false, coverage, rows.size)
-    })
+    Some(new Reported(lhsAttrs, b, {
+      val g = if (params.generalize) generalize(selected.map(_._2)) else None
+      DiscoveredDep(lhsAttrs, b, g.getOrElse(PFD(lhsAttrs, Seq(b), rows)), g.isDefined,
+                    coverage, rows.size)
+    }))
   }
 
   /** Greedy dedup (skip patterns that extend an already-selected one — their
@@ -276,8 +278,7 @@ object Discovery {
 
   private def discoverLevel2(df: DataFrame, n: Long, quals: Seq[ColumnProfile], rows: DataFrame,
                              tokenized: Map[String, Boolean], params: Params,
-                             found: Seq[DiscoveredDep]): Seq[DiscoveredDep] = {
-    val foundPairs = found.map(d => (d.lhs.toSet, d.rhs)).toSet
+                             foundPairs: Set[(Set[String], String)]): Seq[Reported] = {
     val attrs = quals.map(_.name)
 
     // Every conditioning slice is mined once, in one query, and its entries

@@ -1,6 +1,6 @@
 package repro.core.discovery
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.StringType
@@ -21,8 +21,6 @@ object PatternIndex {
 
   /** Build the inverted index for the qualitative columns of `profiles`. */
   def build(df0: DataFrame, profiles: Seq[ColumnProfile]): DataFrame = {
-    val spark: SparkSession = df0.sparkSession
-    import spark.implicits._
     val df = PFDCheck.withTid(df0)
     val useful = profiles.filter(_.isQualitative)
     require(useful.nonEmpty, "no qualitative columns to index")
@@ -48,7 +46,8 @@ object PatternIndex {
           col(PFDCheck.TidCol) as "tid",
           lit(p.name) as "attr",
           explode(extractor(col(p.name).cast(StringType))) as "tp")
-        .select($"tid", $"attr", $"tp._1" as "token", $"tp._2" as "pos", $"tp._3" as "full")
+        .select(col("tid"), col("attr"), col("tp._1") as "token", col("tp._2") as "pos",
+                col("tp._3") as "full")
     }
     parts.reduce(_ unionByName _)
   }
