@@ -61,9 +61,10 @@ final case class DiscoveryResult(
   * tableau covers ≥ γ of the records → try to generalize the constant
   * tableau to a variable PFD. Level-2 of the attribute lattice conditions on
   * frequent values of the partner attribute (Example 8) after pruning pairs
-  * whose children already produced a dependency. Each lattice level is one
-  * mining query ([[mine]]); level 2's sub-tables are key columns (cond,
-  * value), so the number of Spark jobs grows with neither attributes nor slices.
+  * whose children already produced a dependency. Both levels are one mining
+  * query ([[mine]]): level 2's sub-tables are slice keys (cond, value) next
+  * to the whole table's, so the number of Spark jobs grows with neither
+  * attributes nor slices.
   */
 object Discovery {
 
@@ -86,20 +87,23 @@ object Discovery {
       val n = df.count()
       val profiles = Profiler.profile(df)
       val quals = profiles.filter(_.isQualitative)
-      if (quals.size < 2) (Seq.empty, profiles)
+      val attrs = quals.map(_.name)
+      if (attrs.size < 2) (Seq.empty, profiles)
       else {
-        // the level-1 pattern rows, annotated once and shared by both levels
-        val rows = PatternIndex.patternRows(PatternIndex.build(df, quals), Nil,
-                                            params.maxPatternsPerAttr)
-          .withColumn("triv", col("kept") && col("cnt") >= params.maxRhsCover * n)
         val tokenized = profiles.map(p => p.name -> p.useTokenize).toMap
-        val deps = withCache(rows) { r =>
-          val single = discoverLevel1(df, n, r, tokenized, params)
-          if (params.maxLhs < 2) single
-          else single ++ discoverLevel2(df, n, quals, r, tokenized, params,
-                                        single.map(d => (d.lhs.toSet, d.rhs)).toSet)
-        }.map(_.dep)
-        (deps, profiles)
+        val top = if (params.maxLhs < 2) Map.empty[String, Seq[(String, Long)]]
+                  else topValues(df, attrs, params)
+        val conds = conditioners(attrs, top, n, params)
+        val entries = mine(df, quals, conds.map(c => c -> top(c).map(_._1)), n, params)
+        val single = entries.getOrElse(WholeTable, Nil).groupBy(e => (e.attrA, e.attrB)).toSeq
+          .sortBy(_._1).flatMap { case ((a, b), es) =>
+            val selected = selectTableau(es, tokenized(a)).map(e => (Map.empty[String, Cell], e))
+            report(Seq(a), b, selected, n, tokenized, params)(
+              Generalizer.generalize(df, a, b, _, tokenized, params))
+          }
+        val found = single.map(d => (d.lhs.toSet, d.rhs)).toSet
+        val multi = discoverLevel2(df, n, attrs, top, conds, entries, tokenized, params, found)
+        ((single ++ multi).map(_.dep), profiles)
       }
     }
     DiscoveryResult(deps, profiles, (System.nanoTime() - t0) / 1000000L)
@@ -117,60 +121,71 @@ object Discovery {
   // The mining kernel, shared by both lattice levels.
   // ------------------------------------------------------------------
 
-  /** Decision f over [[PatternIndex.patternRows]] keyed by `slice` columns,
-    * returning every accepted entry with its slice values. Only kept patterns
-    * not flagged `triv` (trivially covering the whole table) are mined: they
-    * must leave the RHS side *before* best-RHS ranking, or e.g. a constant
-    * "univ" email token would shadow the informative department token.
+  /** The slice key (cond, value) of the whole table, which level 1 mines. */
+  private val WholeTable = Seq("", "")
+
+  /** Decision f on every slice in one query: the whole table and each
+    * frequent value of each conditioner in `conds` (a level-2 sub-table of
+    * Example 8). Returns the accepted entries by slice key (cond, value).
     */
-  private def mine(rows: DataFrame, slice: Seq[String],
-                   params: Params): Seq[(Seq[String], Entry)] = {
-    val minRhsCnt = math.max(1L, math.floor((1 - params.noise) * params.minSupport).toLong)
-    val sliceCols = slice.map(col)
-    val mined = rows.filter(col("kept") && !col("triv"))
-    val lhs = mined.filter(col("cnt") >= params.minSupport)
-      .select(sliceCols ++ Seq(col("tid"), col("attr") as "attrA", col("token") as "tokA",
-              col("pos") as "posA", col("cnt") as "cntA", col("isFull") as "fullA"): _*)
-    val rhs = mined.filter(col("cnt") >= minRhsCnt)
-      .select(sliceCols ++ Seq(col("tid"), col("attr") as "attrB", col("token") as "tokB",
-              col("pos") as "posB", col("full") as "fullB0"): _*)
-    val lhsKey = sliceCols ++ Seq(col("attrA"), col("tokA"), col("posA"))
-    val joint = lhs.join(rhs, slice :+ "tid")
-      .filter(col("attrA") =!= col("attrB"))
-      .repartition(lhsKey :+ col("attrB"): _*)
-      .groupBy(lhsKey ++ Seq(col("cntA"), col("fullA"), col("attrB"), col("tokB"), col("posB")): _*)
-      .agg(count(lit(1)) as "cj", (min(when(col("fullB0"), 1).otherwise(0)) === 1) as "fullB")
-      .filter(col("cj") >= ceil(col("cntA") * (1 - params.noise)))
-    // best RHS pattern per LHS pattern: most specific first (substring
-    // pruning guarantees a longer pattern is never dominated spuriously),
-    // then most frequent.
-    val w = Window.partitionBy(lhsKey :+ col("attrB"): _*)
-      .orderBy(length(col("tokB")).desc, col("cj").desc, col("tokB").asc, col("posB").asc)
-    joint.withColumn("__r", row_number().over(w)).filter(col("__r") === 1)
-      .select(sliceCols ++ Seq(col("attrA"), col("tokA"), col("posA"), col("cntA"), col("attrB"),
-              col("tokB"), col("posB"), col("cj"), col("fullA"), col("fullB")): _*)
-      .collect().toSeq
-      .map { r =>
-        val k = slice.size // the entry's columns follow the slice's
-        (slice.indices.map(r.getString),
-         Entry(r.getString(k), r.getString(k + 1), r.getInt(k + 2), r.getLong(k + 3),
-               r.getString(k + 4), r.getString(k + 5), r.getInt(k + 6), r.getLong(k + 7),
-               r.getBoolean(k + 8), r.getBoolean(k + 9)))
+  private def mine(df: DataFrame, quals: Seq[ColumnProfile], conds: Seq[(String, Seq[String])],
+                   n: Long, params: Params): Map[Seq[String], Seq[Entry]] = {
+    // slice keys of a row from one generator: a foldable `cond` literal would
+    // drop out of some partitionings and add exchanges
+    val keys = struct(lit(WholeTable(0)) as "cond", lit(WholeTable(1)) as "value") +:
+      conds.map { case (cond, vals) =>
+        val v = col(cond).cast("string")
+        when(v.isin(vals: _*), struct(lit(cond) as "cond", v as "value"))
       }
-  }
-
-  // ------------------------------------------------------------------
-  // Level 1: single-LHS candidate dependencies A → B.
-  // ------------------------------------------------------------------
-
-  private def discoverLevel1(df: DataFrame, n: Long, rows: DataFrame,
-                             tokenized: Map[String, Boolean],
-                             params: Params): Seq[Reported] = {
-    val entries = mine(rows, Nil, params).map(_._2)
-    entries.groupBy(e => (e.attrA, e.attrB)).toSeq.sortBy(_._1).flatMap { case ((a, b), es) =>
-      val selected = selectTableau(es, tokenized(a)).map(e => (Map.empty[String, Cell], e))
-      report(Seq(a), b, selected, n, tokenized, params)(
-        Generalizer.generalize(df, a, b, _, tokenized, params))
+    // Trivially-covering patterns are the whole table's (a slice never turns
+    // a globally-varied column into a "constant" one). They must leave the
+    // RHS side *before* best-RHS ranking, or e.g. a constant "univ" email
+    // token would shadow the informative department token.
+    val wholeTableTrivial = col("cond") === WholeTable(0) && col("kept") &&
+      col("cnt") >= params.maxRhsCover * n
+    // the whole table alone (level 1) needs neither the join nor the window
+    val (index, triv) =
+      if (conds.isEmpty)
+        (PatternIndex.build(df, quals).withColumn("s", explode(array(keys: _*))), wholeTableTrivial)
+      else
+        (PatternIndex.build(df, quals).join(
+           df.select(col(PFDCheck.TidCol) as "tid", explode(array(keys: _*)) as "s"), "tid"),
+         max(wholeTableTrivial).over(Window.partitionBy("attr", "token", "pos")))
+    val sliced = index.filter(col("s").isNotNull)
+      .select(col("tid"), col("attr"), col("token"), col("pos"), col("full"),
+              col("s.cond") as "cond", col("s.value") as "value")
+      .filter(col("attr") =!= col("cond")) // constant within its own slices
+    val rows = PatternIndex.patternRows(sliced, Seq("cond", "value"), params.maxPatternsPerAttr)
+      .withColumn("triv", triv).filter(col("kept") && !col("triv"))
+    withCache(rows) { rows =>
+      val minRhsCnt = math.max(1L, math.floor((1 - params.noise) * params.minSupport).toLong)
+      val lhs = rows.filter(col("cnt") >= params.minSupport)
+        .select(col("cond"), col("value"), col("tid"), col("attr") as "attrA",
+                col("token") as "tokA", col("pos") as "posA", col("cnt") as "cntA",
+                col("isFull") as "fullA")
+      val rhs = rows.filter(col("cnt") >= minRhsCnt)
+        .select(col("cond"), col("value"), col("tid"), col("attr") as "attrB",
+                col("token") as "tokB", col("pos") as "posB", col("full") as "fullB0")
+      val lhsKey = Seq(col("cond"), col("value"), col("attrA"), col("tokA"), col("posA"))
+      val joint = lhs.join(rhs, Seq("cond", "value", "tid"))
+        .filter(col("attrA") =!= col("attrB"))
+        .repartition(lhsKey :+ col("attrB"): _*)
+        .groupBy(lhsKey ++ Seq(col("cntA"), col("fullA"), col("attrB"), col("tokB"), col("posB")): _*)
+        .agg(count(lit(1)) as "cj", (min(when(col("fullB0"), 1).otherwise(0)) === 1) as "fullB")
+        .filter(col("cj") >= ceil(col("cntA") * (1 - params.noise)))
+      // best RHS pattern per LHS pattern: most specific first (substring
+      // pruning guarantees a longer pattern is never dominated spuriously),
+      // then most frequent.
+      val w = Window.partitionBy(lhsKey :+ col("attrB"): _*)
+        .orderBy(length(col("tokB")).desc, col("cj").desc, col("tokB").asc, col("posB").asc)
+      joint.withColumn("__r", row_number().over(w)).filter(col("__r") === 1)
+        .select("cond", "value", "attrA", "tokA", "posA", "cntA", "attrB", "tokB", "posB", "cj",
+                "fullA", "fullB")
+        .collect().toSeq
+        .groupMap(r => Seq(r.getString(0), r.getString(1))) { r =>
+          Entry(r.getString(2), r.getString(3), r.getInt(4), r.getLong(5), r.getString(6),
+                r.getString(7), r.getInt(8), r.getLong(9), r.getBoolean(10), r.getBoolean(11))
+        }
     }
   }
 
@@ -276,62 +291,46 @@ object Discovery {
   // Level 2 of the attribute-set lattice: {A, C} → B (Example 8).
   // ------------------------------------------------------------------
 
-  private def discoverLevel2(df: DataFrame, n: Long, quals: Seq[ColumnProfile], rows: DataFrame,
-                             tokenized: Map[String, Boolean], params: Params,
-                             foundPairs: Set[(Set[String], String)]): Seq[Reported] = {
-    val attrs = quals.map(_.name)
+  /** Candidate pairs (pat, b) for {cond, pat} → b. The conditioning
+    * attribute is the one whose top values are most frequent (Example 8
+    * starts from 'country'); a candidate is kept only when the lattice's
+    * children produced nothing (restriction iv, `found`) and pat has fewer
+    * frequent top values than cond would grant it as conditioner.
+    */
+  private def candidates(attrs: Seq[String], top: Map[String, Seq[(String, Long)]], cond: String,
+                         found: Set[(Set[String], String)]): Seq[(String, String)] = {
+    def first(a: String): Long = top(a).headOption.map(_._2).getOrElse(0L)
+    for {
+      pat <- attrs; b <- attrs
+      if pat != cond && b != cond && b != pat
+      if !found.contains((Set(pat), b)) && !found.contains((Set(cond), b))
+      // each unordered pair is expanded from its better conditioner only
+      if first(pat) < first(cond) || (first(pat) == first(cond) && cond < pat)
+    } yield (pat, b)
+  }
 
-    // Every conditioning slice is mined once, in one query, and its entries
-    // are reused for every candidate {cond, pat} -> b. The conditioning
-    // attribute is the one whose top values are most frequent (Example 8
-    // starts from 'country'); a candidate triple (cond, pat, b) is kept only
-    // when the lattice's children produced nothing (restriction iv) and pat
-    // has fewer frequent top values than cond would grant it as conditioner.
-    val topByAttr = topValues(df, attrs, params)
-    def top(a: String): Long = topByAttr(a).headOption.map(_._2).getOrElse(0L)
-    val plans = attrs.flatMap { cond =>
-      val condVals = topByAttr(cond)
-      val cands = for {
-        pat <- attrs; b <- attrs
-        if pat != cond && b != cond && b != pat
-        if !foundPairs.contains((Set(pat), b)) && !foundPairs.contains((Set(cond), b))
-        // each unordered pair is expanded from its better conditioner only
-        if top(pat) < top(cond) || (top(pat) == top(cond) && cond < pat)
-      } yield (pat, b)
-      // coverage pruning (§4.2 restriction iv): a level-2 tableau only
-      // covers rows inside the conditioning slices, so a conditioner whose
-      // frequent values cover less than γ can never yield a dependency.
-      val condCoverage = condVals.map(_._2).sum.toDouble / n
-      if (condVals.isEmpty || cands.isEmpty || condCoverage < params.minCoverage) None
-      else Some((cond, condVals.map(_._1), cands))
+  /** Conditioners whose slices are mined: they have candidates before level-1
+    * pruning, and their frequent values cover ≥ γ (restriction iv: a level-2
+    * tableau only covers rows inside the conditioning slices). */
+  private def conditioners(attrs: Seq[String], top: Map[String, Seq[(String, Long)]], n: Long,
+                           params: Params): Seq[String] =
+    attrs.filter { cond =>
+      top.get(cond).exists(vals => vals.nonEmpty &&
+        vals.map(_._2).sum.toDouble / n >= params.minCoverage) &&
+        candidates(attrs, top, cond, Set.empty).nonEmpty
     }
-    if (plans.isEmpty) return Seq.empty
 
-    // (tid, cond, value) for every conditioning slice, from one generator: a
-    // `cond` literal the optimizer could fold would drop out of some
-    // partitionings and add exchanges. `needed`: the attributes each
-    // conditioner's candidates use.
-    val slices = df
-      .select(col(PFDCheck.TidCol) as "tid", explode(array(plans.map { case (cond, vals, _) =>
-        val v = col(cond).cast("string")
-        when(v.isin(vals: _*), struct(lit(cond) as "cond", v as "value"))
-      }: _*)) as "s")
-      .filter(col("s").isNotNull)
-      .select("tid", "s.cond", "s.value")
-    val needed = plans.map { case (cond, _, cands) =>
-      col("cond") === cond && col("attr").isin(cands.flatMap(c => Seq(c._1, c._2)).distinct: _*)
-    }.reduce(_ || _)
-    // a slice never turns a globally-varied column into a "constant" one:
-    // the trivially-covering set stays the whole table's
-    val sliceRows = rows.select("tid", "attr", "token", "pos", "full", "triv")
-      .join(slices, "tid").filter(needed)
-    val entries = mine(
-      PatternIndex.patternRows(sliceRows, Seq("cond", "value"), params.maxPatternsPerAttr),
-      Seq("cond", "value"), params).groupMap(_._1)(_._2)
-
-    plans.flatMap { case (cond, vals, cands) =>
-      cands.flatMap { case (pat, b) =>
-        val selected = vals.flatMap { v =>
+  /** {cond, pat} → b from the entries of cond's slices, each slice mined once
+    * and reused for every candidate pair.
+    */
+  private def discoverLevel2(df: DataFrame, n: Long, attrs: Seq[String],
+                             top: Map[String, Seq[(String, Long)]], conds: Seq[String],
+                             entries: Map[Seq[String], Seq[Entry]],
+                             tokenized: Map[String, Boolean], params: Params,
+                             found: Set[(Set[String], String)]): Seq[Reported] =
+    conds.flatMap { cond =>
+      candidates(attrs, top, cond, found).flatMap { case (pat, b) =>
+        val selected = top(cond).flatMap { case (v, _) =>
           val es = entries.getOrElse(Seq(cond, v), Seq.empty)
           selectTableau(es.filter(e => e.attrA == pat && e.attrB == b), tokenized(pat))
             .map(e => (Map[String, Cell](cond -> Cell(ConstrainedPattern.wholeLiteral(v))), e))
@@ -340,7 +339,6 @@ object Discovery {
           Generalizer.generalizeMulti(df, cond, pat, b, _, tokenized, params))
       }
     }
-  }
 
   /** The most frequent values (count ≥ K, at most `maxConditionValues`) of
     * every attribute, most frequent first, from one query.

@@ -62,7 +62,7 @@ object PatternIndex {
     * is negligible and at worst drops one pattern). Ties are broken on
     * (token, pos), never on row order, so partitioning does not matter.
     */
-  def patternRows(index: DataFrame, slice: Seq[String], maxPatternsPerAttr: Int): DataFrame = {
+  private[discovery] def patternRows(index: DataFrame, slice: Seq[String], maxPatternsPerAttr: Int): DataFrame = {
     val key = (slice :+ "attr").map(col)
     val pattern = Window.partitionBy(key :+ col("token") :+ col("pos"): _*)
     val bySig = Window.partitionBy(key ++ Seq(col("cnt"), col("sigSum"), col("sigHash")): _*)
