@@ -3,16 +3,21 @@ package repro.core.discovery
 import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Paths}
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.PFDCheck
+import repro.core.detect.ErrorDetector
 import repro.data.DirtyData
 
 /** The discovery runs pinned by `src/test/resources/golden/discovery.txt`:
   * T1–T15 at scale 0.1 (single-LHS), the level-2 lattice on T7 ×0.3 and
   * T3 ×1.0, and Example 8. Each run renders as a `## name` header followed
   * by one line per discovered dependency: its summary and its full PFD.
+  * `golden/detection.txt` pins, under the same headers, the cells that
+  * [[repro.core.detect.ErrorDetector]] flags with each run's discovered
+  * dependencies: one `tid attr dep` line per cell, sorted.
   *
-  * Regenerate the file (only when a change of discovery output is intended)
-  * with `sbt "Test/runMain repro.core.discovery.DiscoveryGolden
-  * src/test/resources/golden/discovery.txt"`.
+  * Regenerate both files (only when a change of output is intended) with
+  * `sbt "Test/runMain repro.core.discovery.DiscoveryGolden
+  * src/test/resources/golden"`.
   */
 object DiscoveryGolden {
 
@@ -21,7 +26,7 @@ object DiscoveryGolden {
 
   final case class Run(name: String, table: SparkSession => DataFrame, params: Params)
 
-  /** Table 6 of the paper (Example 8). */
+  /** Table 6 of the paper (Example 8), with its row numbers as tids. */
   def table6(spark: SparkSession): DataFrame = {
     import spark.implicits._
     Seq(
@@ -30,7 +35,8 @@ object DiscoveryGolden {
       ("Noor Wagdi", "Egypt", "M"), ("Noor Shadi", "Yemen", "F"),
       ("Noor Hisham", "Egypt", "M"), ("Noor Hashim", "Yemen", "F"),
       ("Esmat Qadhi", "Yemen", "M"), ("Esmat Farahat", "Egypt", "F"))
-      .toDF("name", "country", "gender")
+      .zipWithIndex.map { case ((n, c, g), i) => (i.toLong, n, c, g) }
+      .toDF(PFDCheck.TidCol, "name", "country", "gender")
   }
 
   val runs: Seq[Run] =
@@ -49,21 +55,33 @@ object DiscoveryGolden {
   def render(deps: Seq[DiscoveredDep]): Seq[String] =
     deps.map(d => s"${d.render} :: ${d.pfd.render}")
 
-  /** Discover on `df` and render, caching the input for the call. */
-  def renderRun(df: DataFrame, params: Params): Seq[String] = {
+  /** One run's rendered output: discovery lines and flagged-cell lines. */
+  final case class Rendered(discovery: Seq[String], detection: Seq[String])
+
+  /** Discover on `df`, detect with the discovered dependencies and render
+    * both, caching the input for the calls.
+    */
+  def renderRun(df: DataFrame, params: Params): Rendered = {
     val cached = df.cache()
-    try render(Discovery.discover(cached, params).deps)
-    finally cached.unpersist(blocking = true)
+    try {
+      val deps = Discovery.discover(cached, params).deps
+      val cells = ErrorDetector.detect(cached, deps).select(PFDCheck.TidCol, "attr", "dep")
+        .collect().map(r => (r.getLong(0), r.getString(1), r.getString(2))).sorted
+      Rendered(render(deps), cells.map { case (tid, attr, dep) => s"$tid $attr $dep" }.toSeq)
+    } finally cached.unpersist(blocking = true)
   }
 
-  def renderAll(spark: SparkSession): String =
-    runs.flatMap(r => s"## ${r.name}" +: renderRun(r.table(spark), r.params))
-      .mkString("", "\n", "\n")
-
   def main(args: Array[String]): Unit = {
-    require(args.length == 1, "usage: DiscoveryGolden <output file>")
-    val text = renderAll(repro.SparkSpec.shared)
-    Files.write(Paths.get(args(0)), text.getBytes(StandardCharsets.UTF_8))
-    repro.SparkSpec.shared.stop()
+    require(args.length == 1, "usage: DiscoveryGolden <output directory>")
+    val spark = repro.SparkSpec.shared
+    val rendered = runs.map(r => r.name -> renderRun(r.table(spark), r.params))
+    def write(file: String, lines: Rendered => Seq[String]): Unit = {
+      val text = rendered.flatMap { case (name, r) => s"## $name" +: lines(r) }
+        .mkString("", "\n", "\n")
+      Files.write(Paths.get(args(0), file), text.getBytes(StandardCharsets.UTF_8))
+    }
+    write("discovery.txt", _.discovery)
+    write("detection.txt", _.detection)
+    spark.stop()
   }
 }
