@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** A tableau cell: the wildcard `⊥` or a disjunction of constrained patterns.
@@ -86,7 +87,9 @@ object PFD {
     PFD(lhs, Seq(rhs), tableau)
 }
 
-/** DataFrame-based satisfaction and violation checking (§2.2).
+/** DataFrame-based satisfaction and violation checking (§2.2): the one
+  * implementation of PFD violation semantics. Error detection and the
+  * Generalizer's δ-test are its callers.
   *
   * Semantics per tableau tuple t_p:
   *  - a data tuple *participates* if it matches every LHS cell;
@@ -96,120 +99,141 @@ object PFD {
   *  - additionally, when the row is constant (literal RHS), a single
   *    participating tuple already violates if its RHS does not match
   *    (single-tuple semantics, Example 6).
+  *
+  * The majority rule: a group's majority RHS key is the first of its keys
+  * ordered non-null first, then by count descending, then by key ascending
+  * (a null key is a tuple whose RHS does not match). Repair flags, in each
+  * group of ≥ 2 tuples whose majority key holds a strict majority, every
+  * tuple off that key, null keys included.
   */
 object PFDCheck {
 
   val TidCol = "__tid"
 
-  /** Ensure a stable row-id column for violation reporting. */
+  /** Ensure a stable row-id column for violation reporting. Fresh ids are
+    * turned into data: a `monotonically_increasing_id` can take other values
+    * in another plan of the same frame (an equal plan cached elsewhere), and
+    * callers join and union on tid.
+    */
   def withTid(df: DataFrame): DataFrame =
     if (df.columns.contains(TidCol)) df
-    else df.withColumn(TidCol, monotonically_increasing_id())
+    else {
+      val d = df.withColumn(TidCol, monotonically_increasing_id())
+      d.sparkSession.createDataFrame(d.rdd, d.schema)
+    }
 
-  private def matchCol(cell: Cell, attr: String): Column = {
-    val c = cell
-    udf((s: String) => s != null && c.matches(s)).apply(col(attr))
-  }
-
-  private def keyCol(cell: Cell, attr: String): Column = {
-    val c = cell
-    udf((s: String) => if (s == null) None else c.key(s)).apply(col(attr))
-  }
-
-  /** Tuples violating tableau row `tp` of `pfd`, as (tid, attr) pairs over
-    * the RHS attributes, plus a repair suggestion when the RHS is constant.
-    * Output columns: __tid, attr, value, suggestion (nullable).
+  /** The key of `attr` under `cell`; null when the value does not match the
+    * cell (for every cell, `matches(s)` ⇔ `key(s).isDefined`).
     */
-  def rowViolations(df0: DataFrame, pfd: PFD, tp: PTuple): DataFrame = {
-    val spark = df0.sparkSession
-    import spark.implicits._
-    val df = withTid(df0)
+  private def keyCol(cell: Cell, attr: String): Column =
+    udf((s: String) => Option(s).flatMap(cell.key)).apply(col(attr).cast("string"))
 
-    // Participation + LHS key.
-    var d = df
-    pfd.lhs.foreach { a => d = d.withColumn(s"__m_$a", matchCol(tp.lhsCells(a), a)) }
-    d = d.filter(pfd.lhs.map(a => col(s"__m_$a")).reduce(_ && _))
-    pfd.lhs.foreach { a => d = d.withColumn(s"__k_$a", keyCol(tp.lhsCells(a), a)) }
-    d = d.withColumn("__lkey", concat_ws("", pfd.lhs.map(a => col(s"__k_$a")): _*))
-
-    // RHS match flags + keys.
-    pfd.rhs.foreach { b =>
-      d = d.withColumn(s"__rm_$b", matchCol(tp.rhsCells(b), b))
-           .withColumn(s"__rk_$b", keyCol(tp.rhsCells(b), b))
+  /** The LHS groups of variable row `tp` on RHS attribute `b`. `rows`: the
+    * participating tuples with one key column per LHS attribute (`lkeys`)
+    * and the RHS key `__rk`. `majority`: the group-majority table, one row
+    * (LHS keys…, __tot, __majk, __majcnt) per group.
+    */
+  private final class Groups(df: DataFrame, pfd: PFD, tp: PTuple, b: String) {
+    val lkeys: Seq[String] = pfd.lhs.indices.map(i => s"__k$i")
+    val rows: DataFrame = pfd.lhs.zip(lkeys)
+      .foldLeft(df) { case (d, (a, k)) => d.withColumn(k, keyCol(tp.lhsCells(a), a)) }
+      .filter(lkeys.map(col(_).isNotNull).reduce(_ && _))
+      .withColumn("__rk", keyCol(tp.rhsCells(b), b))
+    val majority: DataFrame = {
+      val w = Window.partitionBy(lkeys.map(col): _*)
+      rows.groupBy((lkeys :+ "__rk").map(col): _*).agg(count(lit(1)) as "__c")
+        .withColumn("__tot", sum("__c").over(w))
+        .withColumn("__r", row_number().over(
+          w.orderBy(col("__rk").isNull, col("__c").desc, col("__rk"))))
+        .filter(col("__r") === 1)
+        .select(lkeys.map(col) ++
+                Seq(col("__tot"), col("__rk") as "__majk", col("__c") as "__majcnt"): _*)
     }
-
-    val isConstant = tp.isConstantRow
-    val out = pfd.rhs.map { b =>
-      val suggestion: Option[String] = tp.rhsCells(b) match {
-        case Pats(List(cp)) if cp.isConstant && cp.constrainsWhole =>
-          cp.constrained.literalValue
-        case _ => None
-      }
-      if (isConstant) {
-        // Single-tuple semantics: participating tuples must match the RHS.
-        d.filter(!col(s"__rm_$b"))
-          .select(col(TidCol), lit(b) as "attr", col(b) as "value",
-                  lit(suggestion.orNull) as "suggestion")
-      } else {
-        // Pair semantics: within a group of ≥2 with an agreeing majority,
-        // tuples failing the match or deviating from the majority key violate.
-        val grouped = d.groupBy(col("__lkey"), col(s"__rk_$b"))
-          .agg(count(lit(1)) as "__cnt")
-        val w = org.apache.spark.sql.expressions.Window.partitionBy("__lkey")
-        val majority = grouped
-          .withColumn("__total", sum("__cnt").over(w))
-          .withColumn("__rank", row_number().over(
-            w.orderBy(col("__cnt").desc, col(s"__rk_$b").asc_nulls_last)))
-          .filter(col("__rank") === 1 && col("__total") > 1)
-          .select(col("__lkey"), col(s"__rk_$b") as "__majkey", col("__cnt") as "__majcnt",
-                  col("__total"))
-        d.join(majority, "__lkey")
-          .filter(!col(s"__rm_$b") ||
-                  col(s"__rk_$b").isNull ||
-                  col(s"__rk_$b") =!= col("__majkey"))
-          // a 50/50 split has no majority witness: flag only strict minorities
-          .filter(col("__majcnt") * 2 > col("__total"))
-          .select(col(TidCol), lit(b) as "attr", col(b) as "value",
-                  lit(null: String) as "suggestion")
-      }
-    }
-    out.reduce(_ unionByName _).distinct()
   }
 
-  /** All violations of `pfd` over `df` (union across tableau rows). */
-  def violations(df: DataFrame, pfd: PFD): DataFrame =
-    pfd.tableau.map(tp => rowViolations(df, pfd, tp)).reduce(_ unionByName _).distinct()
+  /** Single-tuple violations of the constant rows `rows` on RHS attribute
+    * `b`, all rows in one scan: a tuple violates a row when it matches every
+    * LHS cell and t[b] fails the RHS cell. Each violated row suggests its RHS
+    * literal as the repair when that constrains the whole value.
+    */
+  private def constantViolations(df: DataFrame, lhs: Seq[String], rows: Seq[PTuple],
+                                 b: String): DataFrame = {
+    val cells = rows.map { tp =>
+      val suggestion = tp.rhsCells(b) match {
+        case Pats(List(cp)) if cp.constrainsWhole => cp.constrained.literalValue.orNull
+        case _                                    => null
+      }
+      (lhs.map(tp.lhsCells), tp.rhsCells(b), suggestion)
+    }
+    val violated = udf { vals: Seq[String] =>
+      val (lhsVals, rhsVal) = (vals.init, vals.last)
+      cells.collect {
+        case (lcells, rcell, suggestion)
+            if lcells.zip(lhsVals).forall { case (c, v) => c.matches(v) } &&
+              !rcell.matches(rhsVal) => suggestion
+      }.distinct
+    }
+    df.select(col(TidCol), lit(b) as "attr", col(b).cast("string") as "value",
+              explode(violated(array((lhs :+ b).map(a => col(a).cast("string")): _*)))
+                as "suggestion")
+  }
+
+  /** Pair violations of variable row `tp` on `b`: the tuples off their
+    * group's majority key, in groups where that key holds a strict majority.
+    */
+  private def variableViolations(df: DataFrame, pfd: PFD, tp: PTuple, b: String): DataFrame = {
+    val g = new Groups(df, pfd, tp, b)
+    // a 50/50 split has no majority witness: flag only strict minorities
+    val majority = g.majority.filter(col("__tot") > 1 && col("__majcnt") * 2 > col("__tot"))
+    g.rows.join(majority, g.lkeys)
+      .filter(col("__rk").isNull || col("__rk") =!= col("__majk"))
+      .select(col(TidCol), lit(b) as "attr", col(b).cast("string") as "value",
+              lit(null: String) as "suggestion")
+  }
+
+  /** All violations of `pfd` over `df`, as (tid, attr) pairs over the RHS
+    * attributes, plus a repair suggestion when a constant row fixes the
+    * whole value. Output columns: __tid, attr, value, suggestion (nullable).
+    */
+  def violations(df0: DataFrame, pfd: PFD): DataFrame = {
+    val df = withTid(df0)
+    val (constant, variable) = pfd.tableau.partition(_.isConstantRow)
+    val parts = pfd.rhs.flatMap { b =>
+      Option.when(constant.nonEmpty)(constantViolations(df, pfd.lhs, constant, b)) ++
+        variable.map(variableViolations(df, pfd, _, b))
+    }
+    // one part flags each cell at most once per suggestion
+    if (parts.size == 1) parts.head else parts.reduce(_ unionByName _).distinct()
+  }
 
   /** T ⊨ ψ — strict satisfaction: no tuple pair (or single tuple, for
     * constant rows) violates any tableau row. Note: unlike `violations`,
     * which flags only minority tuples for *repair*, satisfaction fails on
-    * any disagreement within an LHS group.
+    * any group of ≥ 2 tuples with a tuple off its non-null majority key.
     */
   def satisfies(df0: DataFrame, pfd: PFD): Boolean = {
     val df = withTid(df0)
-    pfd.tableau.forall { tp =>
-      var d = df
-      pfd.lhs.foreach { a => d = d.withColumn(s"__m_$a", matchCol(tp.lhsCells(a), a)) }
-      d = d.filter(pfd.lhs.map(a => col(s"__m_$a")).reduce(_ && _))
-      pfd.lhs.foreach { a => d = d.withColumn(s"__k_$a", keyCol(tp.lhsCells(a), a)) }
-      d = d.withColumn("__lkey", concat_ws("", pfd.lhs.map(a => col(s"__k_$a")): _*))
-      pfd.rhs.foreach { b =>
-        d = d.withColumn(s"__rm_$b", matchCol(tp.rhsCells(b), b))
-             .withColumn(s"__rk_$b", keyCol(tp.rhsCells(b), b))
-      }
-      val constantOk =
-        if (tp.isConstantRow)
-          pfd.rhs.forall(b => d.filter(!col(s"__rm_$b")).isEmpty)
-        else true
-      val pairOk = pfd.rhs.forall { b =>
-        d.groupBy("__lkey")
-          .agg(countDistinct(col(s"__rk_$b")) as "nk",
-               max(when(col(s"__rm_$b"), 0).otherwise(1)) as "anyFail",
-               count(lit(1)) as "n")
-          .filter((col("n") > 1) && (col("nk") > 1 || col("anyFail") === 1))
-          .isEmpty
-      }
-      constantOk && pairOk
+    val constant = pfd.tableau.filter(_.isConstantRow)
+    pfd.rhs.forall { b =>
+      (constant.isEmpty || constantViolations(df, pfd.lhs, constant, b).isEmpty) &&
+        pfd.tableau.forall { tp =>
+          new Groups(df, pfd, tp, b).majority
+            .filter(col("__tot") > 1 && (col("__majk").isNull || col("__majcnt") < col("__tot")))
+            .isEmpty
+        }
     }
+  }
+
+  /** The δ-test of Generalize(ψ) (§4.3) for a PFD of one variable row and
+    * one RHS attribute: (tuples taking part in the row, those of them off
+    * their group's non-null majority key).
+    */
+  def majorityCounts(df: DataFrame, pfd: PFD): (Long, Long) = {
+    require(pfd.tableau.size == 1 && pfd.rhs.size == 1, "one tableau row, one RHS attribute")
+    val nonNullMajority = when(col("__majk").isNotNull, col("__majcnt")).otherwise(0L)
+    val r = new Groups(df, pfd, pfd.tableau.head, pfd.rhs.head).majority
+      .agg(coalesce(sum("__tot"), lit(0L)), coalesce(sum(col("__tot") - nonNullMajority), lit(0L)))
+      .head()
+    (r.getLong(0), r.getLong(1))
   }
 }

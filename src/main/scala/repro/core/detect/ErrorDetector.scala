@@ -1,12 +1,12 @@
 package repro.core.detect
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.core._
 import repro.core.discovery.DiscoveredDep
 
-/** Error detection with validated PFDs (§5.3).
+/** Error detection with validated PFDs (§5.3): the cells that
+  * [[PFDCheck.violations]] flags for each dependency.
   *
   * Constant PFDs flag single tuples: t matches a tableau row's LHS patterns
   * but t[B] fails the row's RHS pattern. One whole-tableau UDF per
@@ -22,65 +22,14 @@ import repro.core.discovery.DiscoveredDep
 object ErrorDetector {
 
   def detect(df0: DataFrame, deps: Seq[DiscoveredDep]): DataFrame = {
-    val df = PFDCheck.withTid(df0).cache()
-    val parts = deps.map { d =>
-      if (d.isVariable) detectVariable(df, d) else detectConstant(df, d)
-    }
-    val spark = df.sparkSession
-    if (parts.isEmpty) {
+    val df = PFDCheck.withTid(df0)
+    if (deps.isEmpty) {
+      val spark = df.sparkSession
       import spark.implicits._
       Seq.empty[(Long, String, String, String)].toDF(PFDCheck.TidCol, "attr", "value", "dep")
-    } else parts.reduce(_ unionByName _).distinct()
-  }
-
-  /** Single-tuple violations of a constant-tableau PFD in one scan. */
-  private[detect] def detectConstant(df: DataFrame, d: DiscoveredDep): DataFrame = {
-    val lhsAttrs = d.pfd.lhs
-    val b = d.pfd.rhs.head
-    // (lhs cells in lhsAttrs order, rhs cell) per tableau row
-    val rows: Seq[(Seq[Cell], Cell)] =
-      d.pfd.tableau.map(tp => (lhsAttrs.map(tp.lhsCells), tp.rhsCells(b)))
-    val violates = udf { vals: Seq[String] =>
-      val lhsVals = vals.init
-      val rhsVal = vals.last
-      rows.exists { case (lcells, rcell) =>
-        lcells.zip(lhsVals).forall { case (c, v) => v != null && c.matches(v) } &&
-          !(rhsVal != null && rcell.matches(rhsVal))
-      }
-    }
-    val inputs = array((lhsAttrs :+ b).map(a => col(a).cast("string")): _*)
-    df.filter(violates(inputs))
-      .select(col(PFDCheck.TidCol), lit(b) as "attr",
-              col(b).cast("string") as "value", lit(d.render) as "dep")
-  }
-
-  /** Strict-minority violations of a variable PFD. */
-  private[detect] def detectVariable(df: DataFrame, d: DiscoveredDep): DataFrame = {
-    val tp = d.pfd.tableau.head
-    val b = d.pfd.rhs.head
-    var x = df
-    d.pfd.lhs.foreach { a =>
-      val cell = tp.lhsCells(a)
-      x = x.withColumn(s"__k_$a",
-        udf((s: String) => if (s == null) None else cell.key(s)).apply(col(a).cast("string")))
-    }
-    x = x.filter(d.pfd.lhs.map(a => col(s"__k_$a").isNotNull).reduce(_ && _))
-    val rcell = tp.rhsCells(b)
-    x = x.withColumn("__rk",
-        udf((s: String) => if (s == null) None else rcell.key(s)).apply(col(b).cast("string")))
-      .withColumn("__lkey", concat_ws("", d.pfd.lhs.map(a => col(s"__k_$a")): _*))
-
-    val perKey = x.groupBy("__lkey", "__rk").agg(count(lit(1)) as "c")
-    val w = Window.partitionBy("__lkey")
-    val majority = perKey
-      .withColumn("__tot", sum("c").over(w))
-      .withColumn("__r", row_number().over(
-        w.orderBy(col("__rk").isNull.asc, col("c").desc, col("__rk").asc)))
-      .filter(col("__r") === 1 && col("c") * 2 > col("__tot") && col("__tot") > 1)
-      .select(col("__lkey"), col("__rk") as "__majk")
-    x.join(majority, "__lkey")
-      .filter(col("__rk").isNull || col("__rk") =!= col("__majk"))
-      .select(col(PFDCheck.TidCol), lit(b) as "attr",
-              col(b).cast("string") as "value", lit(d.render) as "dep")
+    } else deps.map { d =>
+      PFDCheck.violations(df, d.pfd)
+        .select(col(PFDCheck.TidCol), col("attr"), col("value"), lit(d.render) as "dep")
+    }.reduce(_ unionByName _).distinct()
   }
 }

@@ -360,41 +360,4 @@ object Discovery {
       .map(r => (r.getString(0), r.getInt(3), (r.getString(1), r.getLong(2))))
     attrs.map(a => a -> top.filter(_._1 == a).sortBy(_._2).map(_._3).toSeq).toMap
   }
-
-  // ------------------------------------------------------------------
-  // Shared variable-PFD validation (used by the Generalizer).
-  // ------------------------------------------------------------------
-
-  /** Scan `df` once for a candidate variable row: returns (matched rows,
-    * violating rows) where a violation is a tuple disagreeing with its LHS
-    * group's majority RHS key (or failing the RHS match).
-    */
-  private[discovery] def validateVariable(df: DataFrame,
-                                          lhsCells: Map[String, Cell],
-                                          rhsAttr: String,
-                                          rhsCell: Cell): (Long, Long) = {
-    var d = df
-    lhsCells.foreach { case (a, cell) =>
-      val c = cell
-      d = d.withColumn(s"__k_$a",
-        udf((s: String) => if (s == null) None else c.key(s)).apply(col(a).cast("string")))
-    }
-    d = d.filter(lhsCells.keys.map(a => col(s"__k_$a").isNotNull).reduce(_ && _))
-    val rc = rhsCell
-    d = d.withColumn("__rk",
-      udf((s: String) => if (s == null) None else rc.key(s)).apply(col(rhsAttr).cast("string")))
-      .withColumn("__lkey", concat_ws("", lhsCells.keys.toSeq.sorted.map(a => col(s"__k_$a")): _*))
-    // majority per group via two-level aggregation
-    val perKey = d.groupBy("__lkey", "__rk").agg(count(lit(1)) as "c")
-    val w = Window.partitionBy("__lkey")
-    val agg = perKey
-      .withColumn("__tot", sum("c").over(w))
-      .withColumn("__best", max(when(col("__rk").isNotNull, col("c")).otherwise(0)).over(w))
-      .groupBy("__lkey", "__tot", "__best").agg(lit(1) as "_one")
-      .agg(sum(col("__tot")) as "matched", sum(col("__tot") - col("__best")) as "violations")
-      .head()
-    val matched = Option(agg.getAs[Any]("matched")).map(_.asInstanceOf[Number].longValue).getOrElse(0L)
-    val viol = Option(agg.getAs[Any]("violations")).map(_.asInstanceOf[Number].longValue).getOrElse(0L)
-    (matched, viol)
-  }
 }

@@ -145,9 +145,8 @@ object Generalizer {
   private def validate(df: DataFrame, lhsCells: Map[String, Cell], b: String,
                        rhsCell: Cell, lhsAttrs: Seq[String],
                        params: Params): Option[PFD] = {
-    val (matched, violations) = Discovery.validateVariable(df, lhsCells, b, rhsCell)
-    if (matched > 0 && violations <= params.noise * matched)
-      Some(PFD(lhsAttrs, Seq(b), Seq(PTuple(lhsCells, Map(b -> rhsCell)))))
-    else None
+    val pfd = PFD(lhsAttrs, Seq(b), Seq(PTuple(lhsCells, Map(b -> rhsCell))))
+    val (matched, violations) = PFDCheck.majorityCounts(df, pfd)
+    if (matched > 0 && violations <= params.noise * matched) Some(pfd) else None
   }
 }

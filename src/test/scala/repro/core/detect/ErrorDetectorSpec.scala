@@ -1,6 +1,7 @@
 package repro.core.detect
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
 import repro.core._
 import repro.core.discovery.DiscoveredDep
@@ -111,5 +112,46 @@ class ErrorDetectorSpec extends SparkSpec {
         |SELECT coalesce(sum(n - best), 0)::VARCHAR AS violations
         |FROM tot WHERE best * 2 > n AND n > 1""".stripMargin,
       "t" -> df)
+  }
+  test("Oracle cross-check: the Generalizer's δ-test counts equal a SQL aggregation") {
+    import spark.implicits._
+    val df = Seq(("Susan A", "F"), ("Susan B", "F"), ("Susan C", "M"), ("Susan D", null),
+                 ("John D", "M"), ("John E", null), ("John F", null),
+                 ("Kim G", "M"), ("Kim H", "F"), ("Lee I", null), ("Lee J", null),
+                 ("Ann K", "F"), ("lowercase l", "F")).toDF("name", "gender")
+    val (matched, off) = PFDCheck.majorityCounts(df, varDep.pfd)
+    repro.Oracle.assertEquivalent(
+      Seq((matched, off)).toDF("matched", "violations"),
+      """WITH keyed AS (
+        |  SELECT split_part(name, ' ', 1) AS k, gender FROM t
+        |  WHERE regexp_full_match(name, '[A-Z][a-z]* .*')
+        |), counted AS (
+        |  SELECT k, gender, count(*) AS c FROM keyed GROUP BY k, gender
+        |), tot AS (
+        |  SELECT k, sum(c) AS n,
+        |         coalesce(max(c) FILTER (WHERE gender IS NOT NULL), 0) AS best
+        |  FROM counted GROUP BY k
+        |)
+        |SELECT sum(n)::VARCHAR AS matched, sum(n - best)::VARCHAR AS violations
+        |FROM tot""".stripMargin,
+      "t" -> df)
+  }
+  test("detect caches nothing and leaves a caller's cached input cached") {
+    import spark.implicits._
+    val sc = spark.sparkContext
+    val rows = Seq(("Susan A", "F"), ("Susan B", "F"), ("Susan C", "M"))
+    val deps = Seq(varDep, constDep(Seq("Susan" -> "F")))
+    val before = sc.getPersistentRDDs.size
+    assert(ErrorDetector.detect(rows.toDF("name", "gender"), deps).count() == 2)
+    assert(sc.getPersistentRDDs.size == before)
+
+    val cached = PFDCheck.withTid(rows.toDF("name", "gender")).cache()
+    cached.count()
+    val withCallerCache = sc.getPersistentRDDs.size
+    try {
+      assert(ErrorDetector.detect(cached, deps).count() == 2)
+      assert(sc.getPersistentRDDs.size == withCallerCache)
+      assert(cached.storageLevel != StorageLevel.NONE)
+    } finally cached.unpersist(blocking = true)
   }
 }
