@@ -25,11 +25,16 @@ class ViolationKernelSpec extends SparkSpec {
 
   test("multi-attribute LHS keys do not collide: (ab, c) and (a, bc) are two groups") {
     import spark.implicits._
-    val df = Seq(("ab", "c", "X"), ("a", "bc", "Y"), ("a", "bc", "Y")).toDF("a", "b", "c")
-    assert(PFDCheck.violations(df, pairFd).isEmpty)
-    assert(PFDCheck.satisfies(df, pairFd))
-    assert(ErrorDetector.detect(df, Seq(variable(pairFd))).isEmpty)
-    assert(PFDCheck.majorityCounts(df, pairFd) == ((3L, 0L)))
+    // joined with a separator, the keys collide when the values contain it
+    // (U+0001 was the separator of an earlier concatenated key)
+    Seq("", "\u0001").foreach { sep =>
+      val df = Seq((s"a${sep}b", "c", "X"), ("a", s"b${sep}c", "Y"), ("a", s"b${sep}c", "Y"))
+        .toDF("a", "b", "c")
+      assert(PFDCheck.violations(df, pairFd).isEmpty)
+      assert(PFDCheck.satisfies(df, pairFd))
+      assert(ErrorDetector.detect(df, Seq(variable(pairFd))).isEmpty)
+      assert(PFDCheck.majorityCounts(df, pairFd) == ((3L, 0L)))
+    }
   }
   test("the majority key is non-null first: a {null: 2, F: 1} group has no strict majority") {
     import spark.implicits._

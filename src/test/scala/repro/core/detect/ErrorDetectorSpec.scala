@@ -139,13 +139,15 @@ class ErrorDetectorSpec extends SparkSpec {
   test("detect caches nothing and leaves a caller's cached input cached") {
     import spark.implicits._
     val sc = spark.sparkContext
-    val rows = Seq(("Susan A", "F"), ("Susan B", "F"), ("Susan C", "M"))
+    // repartitioned: Spark folds plans over a local relation, caches included
+    def rows = Seq(("Susan A", "F"), ("Susan B", "F"), ("Susan C", "M"))
+      .toDF("name", "gender").repartition(2)
     val deps = Seq(varDep, constDep(Seq("Susan" -> "F")))
     val before = sc.getPersistentRDDs.size
-    assert(ErrorDetector.detect(rows.toDF("name", "gender"), deps).count() == 2)
+    assert(ErrorDetector.detect(rows, deps).count() == 2)
     assert(sc.getPersistentRDDs.size == before)
 
-    val cached = PFDCheck.withTid(rows.toDF("name", "gender")).cache()
+    val cached = PFDCheck.withTid(rows).cache()
     cached.count()
     val withCallerCache = sc.getPersistentRDDs.size
     try {
