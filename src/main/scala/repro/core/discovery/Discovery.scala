@@ -78,12 +78,7 @@ object Discovery {
 
   def discover(df0: DataFrame, params: Params = Params()): DiscoveryResult = {
     val t0 = System.nanoTime()
-    // Tids must be data: a fresh monotonically_increasing_id can differ between
-    // two plans of one frame (an equal plan cached elsewhere), and we join on tid.
-    val input =
-      if (df0.columns.contains(PFDCheck.TidCol)) df0
-      else { val d = PFDCheck.withTid(df0); d.sparkSession.createDataFrame(d.rdd, d.schema) }
-    val (deps, profiles) = withCache(input) { df =>
+    val (deps, profiles) = withCache(PFDCheck.withTid(df0)) { df =>
       val n = df.count()
       val profiles = Profiler.profile(df)
       val quals = profiles.filter(_.isQualitative)
